@@ -9,7 +9,7 @@ are exact rather than probabilistic:
   ledger/checkpoint fsync discipline), SIGKILL one ShmComm rank (node
   failure), or corrupt a checkpoint on disk.
 * **Comm faults** (:class:`FaultInjector`): consumed by the hooks inside
-  :meth:`repro.comm.shm.ShmComm._command` — kill a rank just before a
+  :meth:`repro.comm.process.ProcessComm._command` — kill a rank just before a
   command is sent, delay an ack, or drop an ack so the master sees a lost
   message.
 * **Storage faults** (:func:`corrupt_checkpoint`): truncate a checkpoint,
@@ -207,10 +207,11 @@ class FaultPlan:
 
 class FaultInjector:
     """Command-level fault schedule consumed by the ``_command`` hooks of
-    every process-parallel backend (``ShmComm``, ``TcpComm``).
+    every process communicator (:class:`~repro.comm.process.ProcessComm`:
+    shm, tcp, mpi).
 
-    Faults key on the comm's monotonically increasing command index (the
-    first command a comm issues has index 1) and a rank, so a test can say
+    Faults key on the comm's monotonically increasing command sequence
+    number (the first command a comm issues has number 1) and a rank, so a test can say
     "drop rank 1's ack of the third command" and get exactly that.
     """
 
@@ -241,7 +242,7 @@ class FaultInjector:
         )
         return self
 
-    # -- hooks called from repro.comm.shm.ShmComm._command --------------------
+    # -- hooks called from repro.comm.process.ProcessComm._command ------------
 
     def fire_pre_send(self, comm, command_index: int, rank: int) -> None:
         for f in self._faults:

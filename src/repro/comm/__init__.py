@@ -22,6 +22,13 @@ over the interior — behind one communicator protocol with several backends:
     the same master-driven interface over ``mpi4py`` when it is
     importable (a tuned-fabric fast path; absent otherwise).
 
+The three process backends are one master class,
+:class:`~repro.comm.process.ProcessComm` (block table, ack sweep with
+sequence-numbered acks, in-order reduction, health, teardown), over one
+rank command loop, :meth:`~repro.comm.executor.RankExecutor.serve`; each
+backend supplies only its transport and, for the ghost fill, either a
+pull from neighbour segments (shm) or a push to peers (tcp, mpi).
+
 Select with :func:`make_comm` / the ``REPRO_COMM`` environment variable.
 The substitution is validated by the backend-parametrised parity suite
 (``tests/test_comm_backends.py``), which requires the decomposed Dslash,
@@ -32,6 +39,7 @@ backends and with the single-domain kernel for every rank grid.
 from repro.comm.rankgrid import RankGrid
 from repro.comm.trace import CommTrace, HaloEvent, CollectiveEvent, ComputeEvent
 from repro.comm.vcomm import VirtualComm
+from repro.comm.process import ProcessComm
 from repro.comm.shm import ShmComm
 from repro.comm.tcp import TcpComm
 from repro.comm.decomposition import Decomposition
@@ -70,6 +78,7 @@ __all__ = [
     "CollectiveEvent",
     "ComputeEvent",
     "VirtualComm",
+    "ProcessComm",
     "ShmComm",
     "TcpComm",
     "Decomposition",

@@ -1,38 +1,46 @@
-"""Transport-agnostic rank-process command executor.
+"""The rank-process command loop shared by every process backend.
 
 A distributed backend's rank process is a loop: receive a command from the
-master, act on rank-local blocks (allocate, fill, exchange ghosts with
-peers, stencil), acknowledge.  Everything about that loop except *how
-bytes move* is identical whether the peers talk over TCP sockets
-(:mod:`repro.comm.tcp`) or an MPI communicator (:mod:`repro.comm.mpi`), so
-it lives here once: :class:`RankExecutor` holds the block table and the
-command semantics, and a small :class:`PeerTransport` object supplies
-``begin_sends``/``recv``.
+master, act on rank-local blocks (allocate, fill ghosts, stencil), and
+acknowledge.  Everything about that loop except *how bytes move* is the
+same whether the ranks share memory (:mod:`repro.comm.shm`), talk over TCP
+sockets (:mod:`repro.comm.tcp`) or over an MPI communicator
+(:mod:`repro.comm.mpi`), so it lives here once: :class:`RankExecutor`
+holds the block table, the command semantics and :meth:`~RankExecutor.serve`,
+and a backend supplies a control channel (``recv``/``send``) plus, for the
+halo exchange, either a peer transport (push) or an executor subclass that
+reads neighbour blocks directly (shm's pull).
 
-The halo exchange is the pull-free *push* formulation of the same data
-motion as :func:`repro.comm.halo.halo_exchange`: along each decomposed
-axis the rank sends its ``src_hi`` interior slab to the ``+mu`` neighbour
-(who stores it as ``ghost_lo``) and its ``src_lo`` slab to the ``-mu``
-neighbour (``ghost_hi``); undecomposed axes are local copies.  Slab
-indices come from :func:`~repro.comm.halo.face_index` — the single source
-of truth shared with the sequential and shm backends — and boundary
-phases are applied by the *receiver* after the copy, in the same order as
-``halo_exchange``, so the filled arrays are bit-identical across every
-backend.
+Every command carries the master's sequence number and every ack echoes
+it, so a master that gave up on a slow ack can recognise and discard it
+when it arrives late (see :class:`repro.comm.process.ProcessComm`).
+
+The halo exchange fills each ghost shell from the neighbour's opposite
+interior slab: along each decomposed axis the rank's ``ghost_hi`` comes
+from the ``+mu`` neighbour's ``src_lo`` and ``ghost_lo`` from the ``-mu``
+neighbour's ``src_hi``; undecomposed axes are local copies.  Slab indices
+come from :func:`~repro.comm.halo.face_index` — the single source of truth
+shared with the sequential backend — and boundary phases are applied by
+the *receiver* after the copy, in the same order as ``halo_exchange``, so
+the filled arrays are bit-identical across every backend.
 """
 
 from __future__ import annotations
 
+import signal
 import threading
+import time
 import traceback
 
 import numpy as np
 
+from repro.comm.errors import CommError
 from repro.comm.frame import face_tag
 from repro.comm.halo import face_index
 from repro.comm.rankgrid import RankGrid
+from repro.telemetry import registry as _tm_registry
 
-__all__ = ["PeerTransport", "RankExecutor"]
+__all__ = ["PeerTransport", "RankExecutor", "detach_from_master"]
 
 
 class PeerTransport:
@@ -79,10 +87,27 @@ class _ThreadedSends:
             raise self._error
 
 
-class RankExecutor:
-    """One rank's block table + command semantics, independent of transport."""
+def detach_from_master() -> None:
+    """Set up a rank process the master spawned locally.
 
-    def __init__(self, rank: int, grid: RankGrid, peers: PeerTransport) -> None:
+    The master handles ^C, and a forked rank inherits the master's
+    telemetry registry: reset it so the teardown gather returns clean
+    per-rank counts (spawn starts clean anyway).
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _tm_registry.reset()
+
+
+class RankExecutor:
+    """One rank's block table + command semantics, independent of transport.
+
+    The base class fills ghosts by *push*: faces travel through ``peers``
+    (a :class:`PeerTransport`).  A backend whose ranks can read each
+    other's blocks overrides :meth:`_new_block`, :meth:`_send_faces` and
+    :meth:`_neighbour_face` instead.
+    """
+
+    def __init__(self, rank: int, grid: RankGrid, peers: PeerTransport | None = None) -> None:
         from repro.kernels.halo import HaloStencil
 
         self.rank = int(rank)
@@ -91,23 +116,38 @@ class RankExecutor:
         self.blocks: dict[str, np.ndarray] = {}
         self._stencil = HaloStencil()
 
-    # -- block lifecycle ------------------------------------------------------
+    # -- ghost-fill hooks (push over peers) -----------------------------------
+
+    def _new_block(self, key: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        return np.zeros(shape, dtype=dtype)
+
+    def _send_faces(self, arr: np.ndarray, s0: int, w: int):
+        """Start sending this rank's ``src`` slabs to its neighbours."""
+        sends: list[tuple[int, int, bytes]] = []
+        for mu in range(4):
+            nb_hi = self.grid.neighbor(self.rank, mu, +1)
+            if nb_hi == self.rank:
+                continue
+            nb_lo = self.grid.neighbor(self.rank, mu, -1)
+            for nb, role in ((nb_hi, "src_hi"), (nb_lo, "src_lo")):
+                slab = arr[face_index(arr.ndim, s0, w, mu, role)]
+                sends.append(
+                    (nb, face_tag(mu, role == "src_hi"), np.ascontiguousarray(slab).tobytes())
+                )
+        return _ThreadedSends(self.peers.send_one, sends) if sends else None
+
+    def _neighbour_face(self, key: str, nb: int, mu: int, role: str, src_idx, ghost: np.ndarray):
+        """Neighbour ``nb``'s ``role`` slab (``src_idx``) of block ``key``,
+        shaped like ``ghost``."""
+        buf = self.peers.recv(nb, face_tag(mu, role == "src_hi"))
+        return np.frombuffer(buf, ghost.dtype).reshape(ghost.shape)
+
+    # -- commands -------------------------------------------------------------
 
     def declare(self, specs: list[tuple[str, tuple[int, ...], str]]) -> None:
         """Allocate one zero-filled rank-local block per ``(key, shape, dtype)``."""
         for key, shape, dtype in specs:
-            self.blocks[key] = np.zeros(tuple(shape), dtype=np.dtype(dtype))
-
-    def upload(self, key: str, raw: bytes) -> None:
-        """Replace a block's bytes with the master's mirror (full array)."""
-        arr = self.blocks[key]
-        arr[...] = np.frombuffer(raw, dtype=arr.dtype).reshape(arr.shape)
-
-    def download(self, key: str) -> bytes:
-        """The block's current bytes, for the master's mirror."""
-        return self.blocks[key].tobytes()
-
-    # -- halo exchange --------------------------------------------------------
+            self.blocks[key] = self._new_block(key, tuple(shape), np.dtype(dtype))
 
     def exchange(
         self,
@@ -116,55 +156,33 @@ class RankExecutor:
         site_axis_start: int,
         phases: tuple[complex, complex, complex, complex] | None,
     ) -> None:
-        """Fill this rank's ghost shells: peer messages + local wraps.
+        """Fill this rank's ghost shells from neighbour slabs + local wraps.
 
-        Sends run on a helper thread while this thread receives, so every
-        rank makes progress regardless of face size; receives are matched
-        by ``(peer, tag)`` so the two faces a width-2 grid axis routes over
-        one link cannot be confused.
+        Push sends run on a helper thread while this thread receives, so
+        every rank makes progress regardless of face size; receives are
+        matched by ``(peer, tag)`` so the two faces a width-2 grid axis
+        routes over one link cannot be confused.
         """
         arr = self.blocks[key]
         ndim, s0, w, rank, grid = arr.ndim, site_axis_start, width, self.rank, self.grid
-
-        sends: list[tuple[int, int, bytes]] = []
-        for mu in range(4):
-            nb_hi = grid.neighbor(rank, mu, +1)
-            if nb_hi == rank:
-                continue
-            nb_lo = grid.neighbor(rank, mu, -1)
-            src_hi = arr[face_index(ndim, s0, w, mu, "src_hi")]
-            src_lo = arr[face_index(ndim, s0, w, mu, "src_lo")]
-            sends.append((nb_hi, face_tag(mu, True), np.ascontiguousarray(src_hi).tobytes()))
-            sends.append((nb_lo, face_tag(mu, False), np.ascontiguousarray(src_lo).tobytes()))
-        pending = _ThreadedSends(self.peers.send_one, sends) if sends else None
-
+        pending = self._send_faces(arr, s0, w)
         try:
             for mu in range(4):
-                nb_hi = grid.neighbor(rank, mu, +1)
-                nb_lo = grid.neighbor(rank, mu, -1)
-                ghost_hi = arr[face_index(ndim, s0, w, mu, "ghost_hi")]
-                ghost_lo = arr[face_index(ndim, s0, w, mu, "ghost_lo")]
-                if nb_hi == rank:
-                    # Undecomposed axis: the wrap is a local copy, exactly as
-                    # the sequential exchange performs it.
-                    ghost_hi[...] = arr[face_index(ndim, s0, w, mu, "src_lo")]
-                else:
-                    buf = self.peers.recv(nb_hi, face_tag(mu, False))
-                    ghost_hi[...] = np.frombuffer(buf, arr.dtype).reshape(ghost_hi.shape)
-                if phases is not None and grid.crosses_boundary(rank, mu, +1):
-                    ghost_hi *= phases[mu]
-                if nb_lo == rank:
-                    ghost_lo[...] = arr[face_index(ndim, s0, w, mu, "src_hi")]
-                else:
-                    buf = self.peers.recv(nb_lo, face_tag(mu, True))
-                    ghost_lo[...] = np.frombuffer(buf, arr.dtype).reshape(ghost_lo.shape)
-                if phases is not None and grid.crosses_boundary(rank, mu, -1):
-                    ghost_lo *= np.conj(phases[mu])
+                for ghost_role, src_role, d in (("ghost_hi", "src_lo", +1), ("ghost_lo", "src_hi", -1)):
+                    nb = grid.neighbor(rank, mu, d)
+                    ghost = arr[face_index(ndim, s0, w, mu, ghost_role)]
+                    src_idx = face_index(ndim, s0, w, mu, src_role)
+                    if nb == rank:
+                        # Undecomposed axis: the wrap is a local copy, exactly
+                        # as the sequential exchange performs it.
+                        ghost[...] = arr[src_idx]
+                    else:
+                        ghost[...] = self._neighbour_face(key, nb, mu, src_role, src_idx, ghost)
+                    if phases is not None and grid.crosses_boundary(rank, mu, d):
+                        ghost *= phases[mu] if d > 0 else np.conj(phases[mu])
         finally:
             if pending is not None:
                 pending.join()
-
-    # -- compute --------------------------------------------------------------
 
     def dagger(self, u_key: str, udag_key: str) -> None:
         from repro.kernels.halo import dagger_halo_links
@@ -207,49 +225,68 @@ class RankExecutor:
             self.exchange(psi_key, width, 0, phases)
             self._stencil.wilson_box_into(out, u, udag, psi, width, full_box(local), diag)
 
-    # -- command dispatch -----------------------------------------------------
-
     def execute(self, cmd: tuple, raw: bytes | None):
-        """Run one command; return ``(meta, raw_reply)`` for the ack."""
+        """Run one command; return ``(meta, raw_reply)`` for the ack.
+
+        On transports whose master keeps mirror copies, ``exchange`` and
+        ``dslash`` arrive with ``raw``: the bytes of the command's source
+        block.  They replace the block before the command runs, and the
+        reply carries the result block (the exchanged block, or ``out``).
+        """
         op = cmd[0]
+        if op in ("exchange", "dslash"):
+            if raw is not None:
+                src = self.blocks[cmd[1]]
+                src[...] = np.frombuffer(raw, dtype=src.dtype).reshape(src.shape)
+            getattr(self, op)(*cmd[1:])
+            result = self.blocks[cmd[1] if op == "exchange" else cmd[2]]
+            return None, None if raw is None else result.tobytes()
         if op == "declare":
             self.declare(cmd[1])
-        elif op == "upload":
-            self.upload(cmd[1], raw)
-        elif op == "download":
-            return None, self.download(cmd[1])
-        elif op == "exchange":
-            _, key, width, s0, phases = cmd
-            self.exchange(key, width, s0, phases)
-        elif op == "exchange_frame":
-            _, key, width, s0, phases = cmd
-            self.upload(key, raw)
-            self.exchange(key, width, s0, phases)
-            return None, self.download(key)
         elif op == "dagger":
             self.dagger(cmd[1], cmd[2])
-        elif op == "dslash_frame":
-            _, psi_key, out_key, u_key, udag_key, width, phases, diag, overlap = cmd
-            self.upload(psi_key, raw)
-            self.dslash(psi_key, out_key, u_key, udag_key, width, phases, diag, overlap)
-            return None, self.download(out_key)
         elif op == "reduce":
             return None, raw  # gather-at-root echo: the master sums in rank order
         elif op == "sleep":
             # Fault-drill hook: wedge this rank so the master's recv deadline
             # (not a deadlock) decides the outcome.
-            import time
-
             time.sleep(float(cmd[1]))
         elif op == "telemetry":
-            from repro.telemetry import registry as _tm_registry
-
             return _tm_registry.snapshot(), None
         else:
             raise ValueError(f"unknown rank command {op!r}")
         return None, None
 
+    # -- the command loop -----------------------------------------------------
 
-def format_rank_error() -> str:
-    """The traceback string a rank ships back in an ``error`` ack."""
-    return traceback.format_exc()
+    def serve(self, channel) -> int:
+        """Execute the master's commands until ``stop``.
+
+        ``channel.recv()`` returns ``(seq, cmd, raw)`` and
+        ``channel.send(ack, raw)`` sends ``ack = (seq, status, meta)``
+        plus an optional raw reply.  Returns 0 on a clean ``stop`` and 1
+        when the master vanished (nothing left to acknowledge).
+        """
+        while True:
+            try:
+                seq, cmd, raw = channel.recv()
+            except (CommError, EOFError, OSError):
+                return 1
+            op = cmd[0]
+            reply = None
+            if op == "stop":
+                ack = (seq, "ok", None)
+            else:
+                try:
+                    if op != "telemetry":
+                        _tm_registry.add(f"commands/{op}", 1)
+                    meta, reply = self.execute(cmd, raw)
+                    ack = (seq, "ok", meta)
+                except Exception:
+                    ack, reply = (seq, "error", traceback.format_exc()), None
+            try:
+                channel.send(ack, reply)
+            except (CommError, OSError):
+                return 1
+            if op == "stop":
+                return 0

@@ -18,10 +18,11 @@ low single-digit percent range:
 with both probes.  It is transparent when the policy is ``off`` and
 bit-for-bit transparent at every level (probing uses separate buffers and
 ``op.apply``, which does not disturb the wrapped operator's counters).
-For the ShmComm-backed :class:`~repro.dirac.decomposed.DecomposedWilsonDirac`
-the gauge links also live in shared halo blocks; the wrapper checksums
-those through :meth:`repro.comm.shm.ShmComm.block_checksums` and re-scatters
-healed links back into shared memory.
+For a :class:`~repro.dirac.decomposed.DecomposedWilsonDirac` on a process
+communicator the gauge links also live in per-rank halo blocks; the
+wrapper checksums those through
+:meth:`repro.comm.process.ProcessComm.block_checksums` and re-scatters
+healed links back into the blocks.
 """
 
 from __future__ import annotations
@@ -156,17 +157,10 @@ class GuardedOperator(LinearOperator):
             else None
         )
         comm = getattr(op, "comm", None)
-        # Block-level guarding works on any backend exposing per-rank block
-        # storage with checksums: shm (master views worker memory directly)
-        # or a remote-block backend like tcp (command-synchronised mirrors).
-        self._shm = (
-            comm is not None
-            and (
-                getattr(comm, "supports_shared_blocks", False)
-                or getattr(comm, "supports_remote_blocks", False)
-            )
-            and hasattr(comm, "block_checksums")
-            and hasattr(op, "_u_key")
+        # Block-level guarding works on any backend holding per-rank block
+        # storage with checksums (the process communicators: shm, tcp, mpi).
+        self._shm = bool(
+            getattr(comm, "supports_rank_blocks", False) and hasattr(op, "_u_key")
         )
         self._shared_crcs = (
             list(comm.block_checksums(op._u_key))

@@ -94,7 +94,6 @@ def _cg_spmd_core(
     policy = resolve_policy(guard)
     reduce = _SpmdReducer(op.comm, op.decomp)
     nop = NormalOperator(op)
-    applies0 = op.n_applies
 
     rhs = op.apply_dagger(b)
     b_norm2 = reduce.vdot(rhs, rhs).real
@@ -239,7 +238,9 @@ def _cg_spmd_core(
                 solver="cg_spmd", iteration=it, last_residual=last_finite,
             )
 
-    applies = op.n_applies - applies0
+    # Counted as cg counts a NormalOperator: one apply per ``nop(...)``
+    # call, each worth ``nop.flops_per_apply`` (= two Wilson applies).
+    applies = nop.n_applies
     true_res = norm(b - op.apply(x)) / np.sqrt(reduce.vdot(b, b).real)
     return SolveResult(
         x=x,
@@ -248,7 +249,7 @@ def _cg_spmd_core(
         residual=float(true_res),
         history=history,
         operator_applies=applies,
-        flops=applies * op.flops_per_apply,
+        flops=applies * nop.flops_per_apply,
         wall_time=time.perf_counter() - t0,
         label="cg_spmd",
         guard_events=guard_events,

@@ -1,22 +1,32 @@
-"""Backend-parametrised bit-parity matrix for every communicator.
+"""Backend-parametrised bit-parity matrix and drill set for every communicator.
 
 Every instantiable backend (``virtual``, ``shm``, ``tcp`` — and any future
 entry of :func:`repro.comm.available_comms`) must be a bit-exact drop-in:
 same ghost shells, same sums, same operator output, same solver iterates,
 same trace — for every rank grid, boundary phase, and field dtype.  The
-cases here were lifted from the original shm-only suite
-(``tests/test_comm_shm.py``, which keeps only shm-specific teardown and
-fault-injection drills) and parametrised over the backend name, so a new
-backend joins the whole matrix by registering in the comm registry.
+cases are parametrised over the backend name, so a new backend joins the
+whole matrix by registering in the comm registry.
+
+The fault/teardown drill set every process backend must pass (ping,
+kill_rank, injected kill / drop-ack / delay-ack, error acks, use after
+close, the atexit sweep) is defined once here as :class:`FaultDrills` and
+:class:`TeardownDrills`; ``tests/test_comm_shm.py`` and
+``tests/test_comm_tcp.py`` run it against their backend next to their
+transport-only tests.
 """
 
 from __future__ import annotations
+
+import os
+import signal
 
 import numpy as np
 import pytest
 
 from repro.comm import (
     COMM_ENV_VAR,
+    CommError,
+    CommTimeoutError,
     CommUnavailableError,
     RankGrid,
     ShmComm,
@@ -203,6 +213,10 @@ class TestSolverParity:
         assert want.iterations == got.iterations
         assert want.history == got.history
         assert np.array_equal(want.x, got.x)
+        # Honest accounting: at least one normal-operator apply per iteration.
+        assert got.operator_applies >= got.iterations
+        assert got.operator_applies == want.operator_applies
+        assert got.flops == want.flops > 0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -257,3 +271,168 @@ class TestRegistry:
         assert "mpi" not in available_comms()
         with pytest.raises(CommUnavailableError, match="mpi"):
             resolve_comm_name("mpi")
+
+
+# -- the process-backend drill set ---------------------------------------------
+
+
+def _proc_alive(pid: int) -> bool:
+    """True when ``pid`` exists in /proc and is not a reaped zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().split()[2] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+def leftovers(comm):
+    """A probe listing what a leak-free ``close`` must remove: live rank
+    processes, plus the ``/dev/shm`` segments of an shm communicator."""
+    pids = [p for p in comm._pids if p is not None]
+    prefix = getattr(comm, "_prefix", None)
+
+    def probe() -> list[str]:
+        left = [f"pid {p}" for p in pids if _proc_alive(p)]
+        if prefix is not None and os.path.isdir("/dev/shm"):
+            left += [n for n in os.listdir("/dev/shm") if prefix in n]
+        return left
+
+    return probe
+
+
+class _Drills:
+    backend: str  # set by the per-backend subclass
+
+    def _comm(self, dims=(2, 1, 1, 1), **kw):
+        kw.setdefault("timeout", 10.0)
+        return make_comm(RankGrid(dims), self.backend, **kw)
+
+
+class FaultDrills(_Drills):
+    """Rank death and injected command faults; every channel survives or
+    fails typed, and teardown is leak-free after either."""
+
+    def test_ping_roundtrips_all_ranks(self):
+        with self._comm() as comm:
+            assert comm.ping() is True
+            assert comm.healthy
+            assert comm.workers_alive() == [True, True]
+
+    def test_teardown_under_fault_does_not_leak(self):
+        # A killed rank (SIGKILL, no cleanup) must surface as a typed error
+        # naming the rank — from the survivor's peer traffic and from the
+        # dead rank's missing ack — not as a hang, and close must still
+        # reap every process and release every OS resource.
+        comm = self._comm()
+        probe = leftovers(comm)
+        key = comm.new_key("x")
+        comm.alloc_blocks(key, (4, 4, 4, 4, 4, 3), np.complex128)
+        comm.kill_rank(1)
+        assert comm.workers_alive() == [True, False]
+        assert not comm.healthy
+        with pytest.raises(CommError, match="rank 1"):
+            comm.exchange_shared(key, width=1)
+        with pytest.raises(CommError, match="rank 1"):
+            comm.ping()
+        comm.close()
+        assert probe() == []
+
+    def test_injected_rank_kill_before_command(self):
+        from repro.campaign.faults import FaultInjector
+
+        inj = FaultInjector().kill_rank(rank=0, at_command=1)
+        comm = self._comm(fault_injector=inj)
+        probe = leftovers(comm)
+        with pytest.raises(CommError, match="rank 0"):
+            comm.ping()
+        comm.close()
+        assert probe() == []
+
+    def test_injected_drop_ack_keeps_pipes_in_sync(self):
+        from repro.campaign.faults import FaultInjector
+
+        inj = FaultInjector().drop_ack(rank=1, at_command=1)
+        with self._comm(fault_injector=inj) as comm:
+            with pytest.raises(CommError, match="ack dropped"):
+                comm.ping()
+            assert comm.ping() is True  # the fault fired once; channels survive
+
+    def test_injected_delay_ack_is_transparent(self):
+        from repro.campaign.faults import FaultInjector
+
+        inj = FaultInjector().delay_ack(rank=0, at_command=1, seconds=0.05)
+        with self._comm(fault_injector=inj) as comm:
+            assert comm.ping() is True
+
+    def test_atexit_registry_closes_stragglers(self):
+        from repro.comm.lifecycle import LIVE_COMMS, close_live_comms
+
+        comm = self._comm(dims=(1, 1, 1, 1))
+        probe = leftovers(comm)
+        comm.alloc_blocks(comm.new_key("y"), (2, 2, 2, 2, 4, 3), np.complex128)
+        assert comm in LIVE_COMMS
+        close_live_comms()  # what atexit runs if the driver dies with comms open
+        assert comm._closed
+        assert probe() == []
+
+
+class TeardownDrills(_Drills):
+    """Error acks and closing: the channel stays in sync, nothing leaks."""
+
+    def test_failing_rank_body_does_not_leak(self):
+        comm = self._comm()
+        probe = leftovers(comm)
+        comm.alloc_blocks(comm.new_key("x"), (4, 4, 4, 4, 4, 3), np.complex128)
+        with pytest.raises(CommError, match="failed"):
+            # Undeclared key: every rank raises inside the command body.
+            comm._command(("exchange", "nosuchkey", 1, 0, None))
+        assert comm.ping() is True  # ranks survive; acks stay in sync
+        comm.close()
+        assert probe() == []
+
+    def test_close_is_idempotent_and_context_safe(self):
+        with self._comm(dims=(1, 1, 1, 1)) as comm:
+            probe = leftovers(comm)
+            assert comm.allreduce_sum([1.0]) == 1.0
+        comm.close()
+        assert probe() == []
+        with pytest.raises(RuntimeError):
+            comm.allreduce_sum([1.0])
+        with pytest.raises(RuntimeError):
+            comm.ping()
+
+
+@pytest.mark.parametrize("backend", BLOCK_BACKENDS)
+class TestAckSequencing:
+    """Acks echo their command's sequence number: a late ack of a command
+    that timed out is discarded, never read as a later command's reply."""
+
+    def test_late_ack_after_timeout_is_discarded(self, backend):
+        with make_comm(RankGrid((2, 1, 1, 1)), backend, timeout=0.5) as comm:
+            with pytest.raises(CommTimeoutError, match="rank"):
+                comm._command(("sleep", 1.0))
+            assert comm.healthy
+            assert comm.allreduce_sum([1.0, 2.0]) == 3.0
+            assert comm.allreduce_sum([10, 20]) == 30
+            assert comm.ping() is True
+
+    def test_resumed_rank_does_not_shift_later_acks(self, backend):
+        with make_comm(RankGrid((2, 1, 1, 1)), backend, timeout=0.5) as comm:
+            pid = comm._pids[1]
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                with pytest.raises(CommTimeoutError, match="rank 1"):
+                    comm.ping()
+            finally:
+                os.kill(pid, signal.SIGCONT)
+            for _ in range(3):
+                assert comm.ping() is True
+            assert comm.allreduce_sum([10, 20]) == 30
+
+    def test_ack_ahead_of_its_command_is_a_typed_error(self, backend):
+        with make_comm(RankGrid((1, 1, 1, 1)), backend, timeout=5.0) as comm:
+            # An out-of-band command numbered past the next one: its ack
+            # matches no awaited command and must not be taken as a reply.
+            comm._send(0, (comm._seq + 5, ("declare", []), False), None)
+            with pytest.raises(CommError, match="awaiting"):
+                comm.ping()

@@ -1,11 +1,10 @@
-"""Shm-specific drills: ``/dev/shm`` segment lifecycle and fault injection.
+"""Shm drills: the shared process-backend drill set plus ``/dev/shm`` lifecycle.
 
 The backend bit-parity matrix (exchange/allreduce/operator/cg/overlap ×
-rank grids × boundary phases × dtypes) lives in
-``tests/test_comm_backends.py``, parametrised over every registered
-backend — this module keeps only what is inherently about the shared
-memory transport: segment unlinking, worker joining, and the
-fault-injection hooks exercised against real ``/dev/shm`` state.
+rank grids × boundary phases × dtypes) and the fault/teardown drill set
+every process backend runs live in ``tests/test_comm_backends.py``; this
+module runs the drill set against shm and keeps what is inherently about
+the shared-memory transport: segment unlinking and worker joining.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.comm import RankGrid, ShmComm
+from tests.test_comm_backends import FaultDrills, TeardownDrills, _proc_alive
 
 LATTICE_SHAPE = (4, 4, 4, 4, 4, 3)
 
@@ -27,7 +27,9 @@ def _segment_names(prefix: str) -> list[str]:
     return [n for n in os.listdir(shm_dir) if prefix in n]
 
 
-class TestTeardown:
+class TestTeardown(TeardownDrills):
+    backend = "shm"
+
     def test_close_unlinks_segments(self):
         comm = ShmComm(RankGrid((2, 1, 1, 1)))
         prefix = comm._prefix
@@ -36,93 +38,15 @@ class TestTeardown:
         comm.close()
         assert not _segment_names(prefix)
 
-    def test_failing_rank_body_does_not_leak(self):
-        comm = ShmComm(RankGrid((2, 1, 1, 1)))
-        prefix = comm._prefix
-        comm.alloc_blocks(comm.new_key("x"), LATTICE_SHAPE, np.complex128)
-        with pytest.raises(RuntimeError, match="failed"):
-            # Undeclared key: every worker raises inside the command body.
-            comm._command(("exchange", "nosuchkey", 1, 0, None))
-        # Workers survive a failed command and teardown still cleans up.
-        comm.close()
-        assert not _segment_names(prefix)
-
-    def test_close_is_idempotent_and_context_safe(self):
-        with ShmComm(RankGrid((1, 1, 1, 1))) as comm:
-            prefix = comm._prefix
-            comm.allreduce_sum([1.0])
-        comm.close()
-        assert not _segment_names(prefix)
-        with pytest.raises(RuntimeError):
-            comm.allreduce_sum([1.0])
-
     def test_workers_joined_after_close(self):
         comm = ShmComm(RankGrid((2, 1, 1, 1)))
-        workers = list(comm._workers)
+        pids = list(comm._pids)
+        assert all(_proc_alive(p) for p in pids)
         comm.close()
-        assert all(not w.is_alive() for w in workers)
+        assert not any(_proc_alive(p) for p in pids)
 
 
-class TestFaultTolerance:
+class TestFaultTolerance(FaultDrills):
     """Rank death, injected comm faults, and leak-free teardown under both."""
 
-    def test_ping_roundtrips_all_ranks(self):
-        with ShmComm(RankGrid((2, 1, 1, 1))) as comm:
-            assert comm.ping() is True
-            assert comm.healthy
-            assert comm.workers_alive() == [True, True]
-
-    def test_teardown_under_fault_does_not_leak(self):
-        # The satellite guarantee: a runner-killed rank (SIGKILL, no worker
-        # cleanup) must not leak /dev/shm segments once the master tears down.
-        comm = ShmComm(RankGrid((2, 1, 1, 1)), timeout=10.0)
-        prefix = comm._prefix
-        comm.alloc_blocks(comm.new_key("x"), LATTICE_SHAPE, np.complex128)
-        assert _segment_names(prefix)
-        comm.kill_rank(1)
-        assert comm.workers_alive() == [True, False]
-        assert not comm.healthy
-        with pytest.raises(RuntimeError, match="rank 1"):
-            comm.ping()  # the dead rank surfaces as an error, not a hang
-        comm.close()
-        assert not _segment_names(prefix)
-
-    def test_injected_rank_kill_before_command(self):
-        from repro.campaign.faults import FaultInjector
-
-        inj = FaultInjector().kill_rank(rank=0, at_command=1)
-        comm = ShmComm(RankGrid((2, 1, 1, 1)), timeout=10.0, fault_injector=inj)
-        prefix = comm._prefix
-        with pytest.raises(RuntimeError, match="rank 0"):
-            comm.ping()
-        comm.close()
-        assert not _segment_names(prefix)
-
-    def test_injected_drop_ack_keeps_pipes_in_sync(self):
-        from repro.campaign.faults import FaultInjector
-
-        inj = FaultInjector().drop_ack(rank=1, at_command=1)
-        with ShmComm(RankGrid((2, 1, 1, 1)), timeout=10.0, fault_injector=inj) as comm:
-            with pytest.raises(RuntimeError, match="ack dropped"):
-                comm.ping()
-            assert comm.ping() is True  # the fault fired once; pipes survive
-
-    def test_injected_delay_ack_is_transparent(self):
-        from repro.campaign.faults import FaultInjector
-
-        inj = FaultInjector().delay_ack(rank=0, at_command=1, seconds=0.05)
-        with ShmComm(RankGrid((2, 1, 1, 1)), timeout=10.0, fault_injector=inj) as comm:
-            assert comm.ping() is True
-
-    def test_atexit_registry_closes_stragglers(self):
-        # _LIVE_COMMS / close_live_comms moved to repro.comm.lifecycle; the
-        # shm module re-exports both for pre-lifecycle callers.
-        from repro.comm.shm import _LIVE_COMMS, close_live_comms
-
-        comm = ShmComm(RankGrid((1, 1, 1, 1)))
-        prefix = comm._prefix
-        comm.alloc_blocks(comm.new_key("y"), (2, 2, 2, 2, 4, 3), np.complex128)
-        assert comm in _LIVE_COMMS
-        close_live_comms()  # what atexit runs if the driver dies with comms open
-        assert comm._closed
-        assert not _segment_names(prefix)
+    backend = "shm"

@@ -1,11 +1,13 @@
-"""Tcp-specific drills: framing, rendezvous, faults, and leak-free teardown.
+"""Tcp drills: the shared process-backend drill set plus the socket transport.
 
-The bit-parity matrix runs in ``tests/test_comm_backends.py``; this module
-covers what is inherently about the socket transport — torn-frame
-detection (a rank killed mid-send must never let a partial length-prefixed
-message be read as data), typed connect/recv faults that ``run_resilient``
-retries, the cross-host ``--connect`` rendezvous, and ``/proc``-verified
-absence of orphan rank processes and leaked sockets.
+The bit-parity matrix and the fault/teardown drill set every process
+backend runs live in ``tests/test_comm_backends.py``; this module runs the
+drill set against tcp and covers what is inherently about the socket
+transport — torn-frame detection (a rank killed mid-send must never let a
+partial length-prefixed message be read as data), typed connect/recv
+faults that ``run_resilient`` retries, the cross-host ``--connect``
+rendezvous, and ``/proc``-verified absence of orphan rank processes and
+leaked sockets.
 """
 
 from __future__ import annotations
@@ -38,18 +40,10 @@ from repro.comm.frame import (
     send_frame,
 )
 from repro.comm.tcp import run_worker
+from tests.test_comm_backends import FaultDrills, TeardownDrills, _proc_alive
 
 GRID2 = RankGrid((2, 1, 1, 1))
 KW = {"timeout": 20.0, "connect_timeout": 20.0}
-
-
-def _proc_alive(pid: int) -> bool:
-    """True when ``pid`` exists in /proc and is not a reaped zombie."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().split()[2] != "Z"
-    except (FileNotFoundError, ProcessLookupError):
-        return False
 
 
 def _open_fds() -> int:
@@ -152,48 +146,15 @@ class TestConnectFaults:
 # -- runtime faults -----------------------------------------------------------
 
 
-class TestRuntimeFaults:
-    def test_kill_rank_mid_exchange_is_typed_and_leak_free(self):
-        comm = TcpComm(GRID2, **KW)
-        pids = list(comm._pids)
-        key = comm.new_key("x")
-        comm.alloc_blocks(key, (4, 4, 4, 4, 4, 3), np.complex128)
-        comm.kill_rank(1)
-        assert comm.workers_alive() == [True, False]
-        assert not comm.healthy
-        # The surviving rank's peer recv and the dead rank's ack both fail
-        # with typed errors naming the rank, instead of hanging.
-        with pytest.raises(CommError, match="rank 1"):
-            comm.exchange_shared(key, width=1)
-        comm.close()
-        time.sleep(0.2)
-        assert not any(_proc_alive(p) for p in pids), "orphan rank process"
+class TestFaultTolerance(FaultDrills):
+    backend = "tcp"
 
+
+class TestRuntimeFaults:
     def test_recv_timeout_via_wedged_rank(self):
         with TcpComm(GRID2, timeout=1.0, connect_timeout=20.0) as comm:
             with pytest.raises(CommTimeoutError, match="rank"):
                 comm._command(("sleep", 5.0))
-
-    def test_fault_injector_kill_hook(self):
-        from repro.campaign.faults import FaultInjector
-
-        inj = FaultInjector().kill_rank(rank=0, at_command=1)
-        comm = TcpComm(GRID2, timeout=10.0, connect_timeout=20.0, fault_injector=inj)
-        pids = list(comm._pids)
-        with pytest.raises(CommError, match="rank 0"):
-            comm.ping()
-        comm.close()
-        time.sleep(0.2)
-        assert not any(_proc_alive(p) for p in pids)
-
-    def test_fault_injector_drop_ack_keeps_stream_in_sync(self):
-        from repro.campaign.faults import FaultInjector
-
-        inj = FaultInjector().drop_ack(rank=1, at_command=1)
-        with TcpComm(GRID2, timeout=10.0, connect_timeout=20.0, fault_injector=inj) as comm:
-            with pytest.raises(CommError, match="ack dropped"):
-                comm.ping()
-            assert comm.ping() is True  # fault fired once; sockets survive
 
     def test_comm_errors_are_retryable_by_run_resilient(self):
         # The taxonomy contract: every comm fault is a RuntimeError, so the
@@ -238,7 +199,9 @@ class TestRuntimeFaults:
 # -- teardown / leak accounting -----------------------------------------------
 
 
-class TestTeardown:
+class TestTeardown(TeardownDrills):
+    backend = "tcp"
+
     def test_close_reaps_processes_and_sockets(self):
         before = _open_fds()
         comm = TcpComm(GRID2, **KW)
@@ -252,17 +215,6 @@ class TestTeardown:
         assert _open_fds() <= before + 1
         with pytest.raises(RuntimeError):
             comm.ping()
-
-    def test_atexit_sweep_closes_stragglers(self):
-        from repro.comm.lifecycle import LIVE_COMMS, close_live_comms
-
-        comm = TcpComm(RankGrid((1, 1, 1, 1)), **KW)
-        pids = list(comm._pids)
-        assert comm in LIVE_COMMS
-        close_live_comms()  # what atexit runs if the driver dies with comms open
-        assert comm._closed
-        time.sleep(0.2)
-        assert not any(_proc_alive(p) for p in pids)
 
 
 # -- cross-host rendezvous (loopback stand-in) --------------------------------
