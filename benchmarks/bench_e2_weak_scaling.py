@@ -42,7 +42,7 @@ def test_e2_weak_scaling_measured(benchmark, show):
 
 def test_e2_weak_scaling_measured_tcp(benchmark, show):
     """Real cross-process sockets at production-like local volume (16^4 per
-    rank), where overlap can hide the framed exchange behind the stencil."""
+    rank), where the stencil dwarfs the framed face exchange."""
     table, points = benchmark.pedantic(
         e2_weak_scaling_measured,
         kwargs=dict(

@@ -6,13 +6,13 @@ exactly — scatter to rank-local arrays, pack faces, exchange halos, stencil
 over the interior — behind one communicator protocol with several backends:
 
 ``VirtualComm``
-    executes all ranks sequentially inside one process, recording every
-    message in a :class:`CommTrace` that the machine model converts into
-    time at scale;
+    the in-process transport: every rank runs in this process, one after
+    another, recording every message in a :class:`CommTrace` that the
+    machine model converts into time at scale;
 ``ShmComm``
     runs each rank as a real OS process with rank-local fields in shared
-    memory, so halo exchange and the interior/boundary-split Dslash
-    execute genuinely in parallel on the host's cores;
+    memory, so halo exchange and Dslash execute genuinely in parallel on
+    the host's cores;
 ``TcpComm``
     runs each rank as an OS process reachable only over TCP sockets with
     CRC-framed messages, so ranks may live on *different hosts* — the
@@ -22,18 +22,19 @@ over the interior — behind one communicator protocol with several backends:
     the same master-driven interface over ``mpi4py`` when it is
     importable (a tuned-fabric fast path; absent otherwise).
 
-The three process backends are one master class,
-:class:`~repro.comm.process.ProcessComm` (block table, ack sweep with
-sequence-numbered acks, in-order reduction, health, teardown), over one
-rank command loop, :meth:`~repro.comm.executor.RankExecutor.serve`; each
-backend supplies only its transport and, for the ghost fill, either a
-pull from neighbour segments (shm) or a push to peers (tcp, mpi).
+All four are one master class, :class:`~repro.comm.process.ProcessComm`
+(block table, ack sweep with sequence-numbered acks, in-order reduction,
+health, teardown), over one rank executor,
+:class:`~repro.comm.executor.RankExecutor`; each backend supplies only its
+transport and, for the ghost fill, either a pull from sibling blocks
+(virtual, shm) or a push to peers (tcp, mpi).
 
 Select with :func:`make_comm` / the ``REPRO_COMM`` environment variable.
 The substitution is validated by the backend-parametrised parity suite
 (``tests/test_comm_backends.py``), which requires the decomposed Dslash,
 halo exchange, reductions, and CG iterates to agree bit-for-bit across
-backends and with the single-domain kernel for every rank grid.
+backends, with the single-domain kernel and with the sequential
+:func:`halo_exchange` for every rank grid.
 """
 
 from repro.comm.rankgrid import RankGrid

@@ -1,15 +1,17 @@
-"""The rank-process command loop shared by every process backend.
+"""The rank executor shared by every communicator backend.
 
-A distributed backend's rank process is a loop: receive a command from the
-master, act on rank-local blocks (allocate, fill ghosts, stencil), and
-acknowledge.  Everything about that loop except *how bytes move* is the
-same whether the ranks share memory (:mod:`repro.comm.shm`), talk over TCP
-sockets (:mod:`repro.comm.tcp`) or over an MPI communicator
-(:mod:`repro.comm.mpi`), so it lives here once: :class:`RankExecutor`
-holds the block table, the command semantics and :meth:`~RankExecutor.serve`,
-and a backend supplies a control channel (``recv``/``send``) plus, for the
-halo exchange, either a peer transport (push) or an executor subclass that
-reads neighbour blocks directly (shm's pull).
+A rank is a loop: receive a command from the master, act on rank-local
+blocks (allocate, fill ghosts, stencil), and acknowledge.  Everything
+about that loop except *how bytes move* is the same whether the ranks run
+in the master's process (:mod:`repro.comm.vcomm`), share memory
+(:mod:`repro.comm.shm`), talk over TCP sockets (:mod:`repro.comm.tcp`) or
+over an MPI communicator (:mod:`repro.comm.mpi`), so it lives here once:
+:class:`RankExecutor` holds the block table, the command semantics,
+:meth:`~RankExecutor.respond` and the process loop
+:meth:`~RankExecutor.serve`.  A backend supplies a control channel
+(``recv``/``send``, or direct :meth:`~RankExecutor.respond` calls in
+process) plus, for the halo exchange, either a peer transport (push) or
+an executor subclass that reads neighbour blocks directly (pull).
 
 Every command carries the master's sequence number and every ack echoes
 it, so a master that gave up on a slow ack can recognise and discard it
@@ -20,9 +22,10 @@ interior slab: along each decomposed axis the rank's ``ghost_hi`` comes
 from the ``+mu`` neighbour's ``src_lo`` and ``ghost_lo`` from the ``-mu``
 neighbour's ``src_hi``; undecomposed axes are local copies.  Slab indices
 come from :func:`~repro.comm.halo.face_index` — the single source of truth
-shared with the sequential backend — and boundary phases are applied by
-the *receiver* after the copy, in the same order as ``halo_exchange``, so
-the filled arrays are bit-identical across every backend.
+shared with the sequential oracle :func:`~repro.comm.halo.halo_exchange` —
+and boundary phases are applied by the *receiver* after the copy, in the
+same order as ``halo_exchange``, so the filled arrays are bit-identical
+across every backend.
 """
 
 from __future__ import annotations
@@ -198,32 +201,11 @@ class RankExecutor:
         width: int,
         phases: tuple[complex, complex, complex, complex],
         diag: float,
-        overlap: bool,
     ) -> None:
-        """One Wilson apply on this rank: exchange + box stencil.
-
-        With ``overlap`` the deep interior (which reads no ghosts) is
-        stenciled *before* the exchange, hiding face traffic behind
-        compute; the result is bit-identical either way because the boxes
-        partition the interior.
-        """
-        from repro.kernels.halo import full_box, split_boxes
-
-        psi = self.blocks[psi_key]
-        out = self.blocks[out_key]
-        u = self.blocks[u_key]
-        udag = self.blocks[udag_key]
-        local = out.shape[:4]
-        if overlap:
-            deep, boundary = split_boxes(local, width)
-            if deep is not None:
-                self._stencil.wilson_box_into(out, u, udag, psi, width, deep, diag)
-            self.exchange(psi_key, width, 0, phases)
-            for box in boundary:
-                self._stencil.wilson_box_into(out, u, udag, psi, width, box, diag)
-        else:
-            self.exchange(psi_key, width, 0, phases)
-            self._stencil.wilson_box_into(out, u, udag, psi, width, full_box(local), diag)
+        """One Wilson apply on this rank: exchange, then stencil the interior."""
+        self.exchange(psi_key, width, 0, phases)
+        b = self.blocks
+        self._stencil.wilson_into(b[out_key], b[u_key], b[udag_key], b[psi_key], width, diag)
 
     def execute(self, cmd: tuple, raw: bytes | None):
         """Run one command; return ``(meta, raw_reply)`` for the ack.
@@ -257,6 +239,20 @@ class RankExecutor:
             raise ValueError(f"unknown rank command {op!r}")
         return None, None
 
+    def respond(self, seq: int, cmd: tuple, raw: bytes | None) -> tuple[tuple, bytes | None]:
+        """Run one command; return its ack ``(seq, status, meta)`` and raw reply.
+
+        A failing command becomes an ``error`` ack carrying the traceback;
+        ``stop`` is acknowledged without running anything.
+        """
+        if cmd[0] == "stop":
+            return (seq, "ok", None), None
+        try:
+            meta, reply = self.execute(cmd, raw)
+        except Exception:
+            return (seq, "error", traceback.format_exc()), None
+        return (seq, "ok", meta), reply
+
     # -- the command loop -----------------------------------------------------
 
     def serve(self, channel) -> int:
@@ -273,19 +269,10 @@ class RankExecutor:
             except (CommError, EOFError, OSError):
                 return 1
             op = cmd[0]
-            reply = None
-            if op == "stop":
-                ack = (seq, "ok", None)
-            else:
-                try:
-                    if op != "telemetry":
-                        _tm_registry.add(f"commands/{op}", 1)
-                    meta, reply = self.execute(cmd, raw)
-                    ack = (seq, "ok", meta)
-                except Exception:
-                    ack, reply = (seq, "error", traceback.format_exc()), None
+            if op not in ("stop", "telemetry"):
+                _tm_registry.add(f"commands/{op}", 1)
             try:
-                channel.send(ack, reply)
+                channel.send(*self.respond(seq, cmd, raw))
             except (CommError, OSError):
                 return 1
             if op == "stop":

@@ -14,8 +14,9 @@ allocation put there (zeros from :func:`add_halo`), which makes the filled
 arrays deterministic and bit-comparable across communicator backends.
 
 The face-slab index helpers here are the single source of truth for both
-the sequential exchange below and the process-parallel pull-style exchange
-in :mod:`repro.comm.shm` — the two backends copy exactly the same slabs.
+the sequential exchange below — the test oracle of every backend — and
+the rank executor's exchange (:mod:`repro.comm.executor`), so both copy
+exactly the same slabs.
 """
 
 from __future__ import annotations
@@ -141,12 +142,11 @@ def record_exchange_trace(
     """
     if trace is None:
         return
-    for mu in range(4):
+    # A rank is its own neighbour exactly along the undecomposed axes.
+    for mu in grid.decomposed_axes():
         for r in grid.all_ranks():
-            if grid.neighbor(r, mu, +1) != r:
-                trace.record_halo(r, mu, +1, nbytes_by_mu[mu])
-            if grid.neighbor(r, mu, -1) != r:
-                trace.record_halo(r, mu, -1, nbytes_by_mu[mu])
+            trace.record_halo(r, mu, +1, nbytes_by_mu[mu])
+            trace.record_halo(r, mu, -1, nbytes_by_mu[mu])
 
 
 def halo_exchange(

@@ -1,7 +1,9 @@
-"""The master side shared by every process communicator (shm, tcp, mpi).
+"""The master side shared by every communicator (virtual, shm, tcp, mpi).
 
 :class:`ProcessComm` is the communicator protocol for backends whose ranks
-are real processes running :meth:`repro.comm.executor.RankExecutor.serve`:
+are :class:`repro.comm.executor.RankExecutor` instances driven by master
+commands — in this process (``virtual``) or in rank processes running
+:meth:`~repro.comm.executor.RankExecutor.serve` (shm, tcp, mpi):
 the block table and keys, trace recording, the in-order reduction,
 checksums, the block commands the decomposed operator drives
 (:meth:`~ProcessComm.exchange_shared`, :meth:`~ProcessComm.dagger_shared`,
@@ -10,7 +12,7 @@ context protocol, and the ack sweep with its fault-injector hooks.
 
 A backend subclass supplies only its transport:
 
-* starting the ranks (its ``__init__``, usually via :meth:`_spawn`);
+* starting the ranks (its ``__init__``, via :meth:`_spawn` for processes);
 * ``_send(rank, msg, payload)`` — one command ``msg = (seq, cmd,
   has_payload)`` plus an optional raw per-rank payload;
 * ``_recv(rank, timeout)`` — one ``((seq, status, meta), raw)`` ack;
@@ -43,7 +45,7 @@ import numpy as np
 
 from repro.comm.decomposition import Decomposition
 from repro.comm.errors import CommError, CommPeerError, CommTimeoutError
-from repro.comm.halo import HaloField, face_bytes_of_shape, halo_exchange, record_exchange_trace
+from repro.comm.halo import face_bytes_of_shape, record_exchange_trace
 from repro.comm.lifecycle import discard_live_comm, register_live_comm
 from repro.comm.rankgrid import RankGrid
 from repro.comm.trace import CommTrace
@@ -58,22 +60,16 @@ _STOP_TIMEOUT = 2.0
 
 
 class ProcessComm:
-    """A communicator whose ranks are processes driven by master commands.
+    """A communicator whose ranks are driven by master commands.
 
-    Drop-in for :class:`~repro.comm.VirtualComm` behind the comm protocol
-    (``decompose`` / ``exchange`` / ``allreduce_sum`` / ``record_compute``
-    / ``trace``), plus the per-rank block API the decomposed operator
-    uses: :meth:`alloc_blocks`, :meth:`exchange_shared`,
-    :meth:`dagger_shared`, :meth:`run_dslash`.
+    The comm protocol (``decompose`` / ``allreduce_sum`` /
+    ``record_compute`` / ``trace``) plus the per-rank block API the
+    decomposed operator uses: :meth:`alloc_blocks`,
+    :meth:`exchange_shared`, :meth:`dagger_shared`, :meth:`run_dslash`.
 
     Use as a context manager, or call :meth:`close` — teardown stops the
     ranks and releases every OS resource even after a rank failure.
     """
-
-    #: Capability flag: ranks hold per-rank blocks the master reaches
-    #: through :meth:`alloc_blocks`; the decomposed operator and the ABFT
-    #: guard key their rank-parallel path on it.
-    supports_rank_blocks = True
 
     #: True when the master's block arrays are mirrors of rank memory, so
     #: block commands carry their source block and return their result.
@@ -138,7 +134,7 @@ class ProcessComm:
             self._procs[r] = proc
             self._pids[r] = proc.pid
 
-    # -- comm protocol (drop-in for VirtualComm) ------------------------------
+    # -- comm protocol --------------------------------------------------------
 
     @property
     def nranks(self) -> int:
@@ -147,25 +143,12 @@ class ProcessComm:
     def decompose(self, lattice: Lattice4D) -> Decomposition:
         return Decomposition(lattice, self.grid)
 
-    def exchange(
-        self,
-        halos: list[HaloField],
-        phases: tuple[complex, complex, complex, complex] | None = None,
-    ) -> None:
-        """Fill ghost shells of master-resident halo fields.
-
-        Arbitrary (non-block) arrays live only in the master, so this runs
-        the sequential exchange — identical data motion and trace.  Blocks
-        go through :meth:`exchange_shared`.
-        """
-        halo_exchange(halos, self.grid, trace=self.trace, phases=phases)
-
     def allreduce_sum(self, partials) -> complex | float:
         """Gather-at-root global sum, reduced in rank order.
 
-        Each partial makes a real round trip through its rank; the master
-        sums the echoed values in rank order — the same arithmetic as
-        ``virtual``, so the result is bit-identical on every backend.
+        Each partial makes a real round trip through its rank, widened to
+        complex128; the master sums the echoed values in rank order, so
+        the result is bit-identical on every backend.
         """
         if len(partials) != self.nranks:
             raise ValueError(f"expected {self.nranks} partials, got {len(partials)}")
@@ -253,9 +236,10 @@ class ProcessComm:
 
         The ABFT guard layer (:mod:`repro.guard.abft`) compares these
         against encode-time values to localise silent corruption of the
-        link halos to a rank.  Master arrays are rank memory itself (shm)
-        or mirrors synchronised by every command that touches the key, so
-        between commands they are exact copies of the rank blocks.
+        link halos to a rank.  Master arrays are rank memory itself
+        (virtual, shm) or mirrors synchronised by every command that
+        touches the key, so between commands they are exact copies of the
+        rank blocks.
         """
         self._check_open()
         return [zlib.crc32(np.ascontiguousarray(view)) for view in self.blocks(key)]
@@ -285,20 +269,17 @@ class ProcessComm:
         phases: tuple[complex, complex, complex, complex],
         diag: float,
         width: int = 1,
-        overlap: bool = True,
     ) -> None:
-        """One rank-parallel Wilson apply: exchange + stencil on every rank.
+        """One Wilson apply on every rank: exchange, then stencil the interior.
 
-        With ``overlap`` the ranks stencil the deep interior before
-        touching ghosts (the interior/boundary split); the result is
-        bit-identical either way.  The links stay rank-resident from
-        construction; on mirror transports only the source fermion travels
-        with the command and only the result block comes back.
+        The links stay rank-resident from construction; on mirror
+        transports only the source fermion travels with the command and
+        only the result block comes back.
         """
         self._check_open()
         self._record_exchange(psi_key, width)
         self._block_command(
-            ("dslash", psi_key, out_key, u_key, udag_key, width, phases, diag, overlap),
+            ("dslash", psi_key, out_key, u_key, udag_key, width, phases, diag),
             psi_key,
             out_key,
         )

@@ -3,14 +3,15 @@
 One data path, several transports:
 
 ``virtual``
-    :class:`~repro.comm.VirtualComm` — all ranks sequential in one
+    :class:`~repro.comm.VirtualComm` — the in-process transport: every
+    rank runs the shared rank executor, one after another, in this
     process.  Exact, dependency-free, works at any rank count; scaling
     curves come from the machine model replaying its trace.
 ``shm``
     :class:`~repro.comm.shm.ShmComm` — one OS process per rank over
-    POSIX shared memory, real parallel halo exchange and overlapped
-    Dslash.  Turns the E2/E3 scaling benchmarks from modelled into
-    measured on the host's cores; bit-for-bit identical results.
+    POSIX shared memory, real parallel halo exchange and Dslash.  Turns
+    the E2/E3 scaling benchmarks from modelled into measured on the
+    host's cores; bit-for-bit identical results.
 ``tcp``
     :class:`~repro.comm.tcp.TcpComm` — one OS process per rank over TCP
     sockets with CRC-framed messages; ranks may join from *other hosts*
@@ -104,16 +105,16 @@ def make_comm(
 
     Backends are the entries of :func:`available_comms` (currently
     enumerated from ``_COMM_NAMES``; see the module docstring for what
-    each one is).  Process-owning backends (every name except
-    ``virtual``) own worker processes plus OS resources — close them
-    (``with make_comm(...) as comm:`` or ``comm.close()``) when done; a
-    shared ``atexit`` sweep (:func:`repro.comm.lifecycle.close_live_comms`)
-    backstops drivers that die with one open.  Backend-specific keyword
-    arguments (``timeout``, ``start_method``, ``fault_injector`` — the
-    campaign layer's fault-injection hook — and for ``tcp`` also
+    each one is).  Every backend is a context manager; close it
+    (``with make_comm(...) as comm:`` or ``comm.close()``) when done.
+    Process-owning backends (every name except ``virtual``) also own
+    worker processes plus OS resources; a shared ``atexit`` sweep
+    (:func:`repro.comm.lifecycle.close_live_comms`) backstops drivers
+    that die with one open.  Backend-specific keyword arguments
+    (``timeout``, ``start_method``, ``fault_injector`` — the campaign
+    layer's fault-injection hook — and for ``tcp`` also
     ``connect_timeout``, ``host``, ``port``, ``n_external``) are ignored
-    by the ``virtual`` backend; ``virtual`` communicators satisfy the
-    same context protocol as a no-op.
+    by the ``virtual`` backend.
     """
     if not isinstance(grid, RankGrid):
         grid = RankGrid(tuple(grid))
@@ -130,6 +131,4 @@ def make_comm(
         from repro.comm.mpi import MpiComm
 
         return MpiComm(grid, trace=trace, **kwargs)
-    if trace is not None:
-        return VirtualComm(grid, trace=trace)
-    return VirtualComm(grid)
+    return VirtualComm(grid, trace=trace)

@@ -5,8 +5,7 @@ one process, :class:`ShmComm` runs each rank as a real worker process (the
 paper's SPMD model on the cores of one node).  Rank-local fields live in
 named ``multiprocessing.shared_memory`` segments, so a halo exchange is a
 real face-slab copy from a neighbour's segment into the rank's own ghost
-shell, and the interior/boundary-split Dslash stencils the deep interior
-while face traffic is outstanding.
+shell, and every rank stencils its block in parallel with the others.
 
 Execution model
 ---------------

@@ -1,73 +1,75 @@
-"""The virtual communicator: sequential SPMD with full message accounting."""
+"""The virtual communicator: every rank in this process, run in turn.
+
+:class:`VirtualComm` is the in-process transport of
+:class:`~repro.comm.process.ProcessComm`.  Each rank is a
+:class:`~repro.comm.executor.RankExecutor` whose blocks *are* the
+master's block arrays, and a command runs on the ranks one after another
+inside ``_send``.  Ghosts are pulled from sibling blocks, as shm's ranks
+pull them from neighbour segments, so the data motion, the arithmetic and
+the trace are those of every other backend; the machine model turns the
+trace into time at scale.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
 
-import numpy as np
-
-from repro.comm.decomposition import Decomposition
-from repro.comm.halo import HaloField, halo_exchange
+from repro.comm.executor import RankExecutor
+from repro.comm.process import ProcessComm
 from repro.comm.rankgrid import RankGrid
 from repro.comm.trace import CommTrace
-from repro.lattice import Lattice4D
 
 __all__ = ["VirtualComm"]
 
 
-@dataclass
-class VirtualComm:
-    """A drop-in stand-in for an MPI communicator over a 4-D rank grid.
+class _SiblingExecutor(RankExecutor):
+    """A rank whose blocks are the master's arrays: ghosts are *pulled*
+    from the sibling ranks' blocks instead of pushed over peers."""
 
-    All ranks live in one process and execute sequentially, but the data
-    motion (halo exchanges, reductions) is performed for real and logged to
-    :attr:`trace`.  The machine model turns the log into time at scale.
+    def __init__(self, rank: int, grid: RankGrid, table: dict, stencil) -> None:
+        super().__init__(rank, grid)
+        self._table = table  # the master's block table: key -> (shape, dtype, arrays)
+        self._stencil = stencil  # ranks run in turn, so they share one scratch set
+
+    def _new_block(self, key, shape, dtype):
+        return self._table[key][2][self.rank]
+
+    def _send_faces(self, arr, s0, w):
+        return None  # siblings pull
+
+    def _neighbour_face(self, key, nb, mu, role, src_idx, ghost):
+        return self._table[key][2][nb][src_idx]
+
+
+class VirtualComm(ProcessComm):
+    """A communicator whose ranks run sequentially inside this process.
+
+    Exact, dependency-free and available at any rank count.  The ranks
+    count into this process's telemetry registry directly, so there are
+    no worker metrics to gather.
     """
 
-    grid: RankGrid
-    trace: CommTrace = field(default_factory=CommTrace)
+    _ship_blocks = False
 
-    @property
-    def nranks(self) -> int:
-        return self.grid.nranks
+    def __init__(self, grid: RankGrid, trace: CommTrace | None = None) -> None:
+        from repro.kernels.halo import HaloStencil
 
-    def decompose(self, lattice: Lattice4D) -> Decomposition:
-        return Decomposition(lattice, self.grid)
+        super().__init__(grid, trace)
+        stencil = HaloStencil()
+        self._ranks = [
+            _SiblingExecutor(r, self.grid, self._blocks, stencil) for r in self.grid.all_ranks()
+        ]
+        self._acks: list[deque] = [deque() for _ in self._ranks]
 
-    def exchange(
-        self,
-        halos: list[HaloField],
-        phases: tuple[complex, complex, complex, complex] | None = None,
-    ) -> None:
-        """Fill ghost shells from neighbours (see :func:`halo_exchange`)."""
-        halo_exchange(halos, self.grid, trace=self.trace, phases=phases)
+    def _send(self, rank, msg, payload):
+        seq, cmd, _ = msg
+        self._acks[rank].append(self._ranks[rank].respond(seq, cmd, payload))
 
-    def allreduce_sum(self, partials: list) -> complex | float:
-        """Global sum of per-rank partial reductions.
+    def _recv(self, rank, timeout):
+        return self._acks[rank].popleft()
 
-        Sequential execution makes the arithmetic exact and reproducible
-        regardless of the rank count; the collective is logged so the model
-        can charge its latency (dominant at strong-scaling limits).
-        """
-        if len(partials) != self.nranks:
-            raise ValueError(f"expected {self.nranks} partials, got {len(partials)}")
-        total = partials[0]
-        for p in partials[1:]:
-            total = total + p
-        payload = np.asarray(partials[0]).nbytes
-        self.trace.record_collective("allreduce_sum", payload, self.nranks)
-        return total
+    def _release(self):
+        self._ranks.clear()
 
-    def record_compute(self, kernel: str, flops_per_rank: int) -> None:
-        self.trace.record_compute(kernel, flops_per_rank, self.nranks)
-
-    # -- context protocol (symmetry with ShmComm; nothing to release) ---------
-
-    def close(self) -> None:
-        """No-op: a sequential communicator owns no processes or segments."""
-
-    def __enter__(self) -> "VirtualComm":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def gather_worker_metrics(self, timeout: float = 5.0) -> dict[int, dict]:
+        return {}

@@ -18,9 +18,9 @@ low single-digit percent range:
 with both probes.  It is transparent when the policy is ``off`` and
 bit-for-bit transparent at every level (probing uses separate buffers and
 ``op.apply``, which does not disturb the wrapped operator's counters).
-For a :class:`~repro.dirac.decomposed.DecomposedWilsonDirac` on a process
-communicator the gauge links also live in per-rank halo blocks; the
-wrapper checksums those through
+For a :class:`~repro.dirac.decomposed.DecomposedWilsonDirac` the gauge
+links also live in per-rank halo blocks, on every communicator backend;
+the wrapper checksums those through
 :meth:`repro.comm.process.ProcessComm.block_checksums` and re-scatters
 healed links back into the blocks.
 """
@@ -156,15 +156,11 @@ class GuardedOperator(LinearOperator):
             if self.policy.enabled and self._u is not None
             else None
         )
-        comm = getattr(op, "comm", None)
-        # Block-level guarding works on any backend holding per-rank block
-        # storage with checksums (the process communicators: shm, tcp, mpi).
-        self._shm = bool(
-            getattr(comm, "supports_rank_blocks", False) and hasattr(op, "_u_key")
-        )
-        self._shared_crcs = (
-            list(comm.block_checksums(op._u_key))
-            if self._shm and self.policy.enabled
+        # A decomposed operator keeps its links in per-rank blocks too.
+        self._blocks = hasattr(op, "_u_key")
+        self._block_crcs = (
+            op.comm.block_checksums(op._u_key)
+            if self._blocks and self.policy.enabled
             else None
         )
 
@@ -213,13 +209,13 @@ class GuardedOperator(LinearOperator):
                 self._on_corrupt(
                     f"link checksum mismatch in direction(s) {bad}", kind="checksum"
                 )
-        if self._shared_crcs is not None:
-            cur = list(self.op.comm.block_checksums(self.op._u_key))
-            if cur != self._shared_crcs:
-                ranks = [r for r, (a, b) in enumerate(zip(cur, self._shared_crcs)) if a != b]
+        if self._block_crcs is not None:
+            cur = self.op.comm.block_checksums(self.op._u_key)
+            if cur != self._block_crcs:
+                ranks = [r for r, (a, b) in enumerate(zip(cur, self._block_crcs)) if a != b]
                 self._on_corrupt(
-                    f"shared link-block checksum mismatch on rank(s) {ranks}",
-                    kind="checksum-shm",
+                    f"link-block checksum mismatch on rank(s) {ranks}",
+                    kind="checksum-block",
                 )
         key = (tuple(shape), np.dtype(dtype).str)
         pair = self._probe_pairs.get(key)
@@ -263,16 +259,16 @@ class GuardedOperator(LinearOperator):
         invalidate = getattr(self.op, "invalidate_kernel_cache", None)
         if invalidate is not None:
             invalidate()
-        if self._shm:
-            # Re-scatter the healed links into the shared halo blocks and
+        if self._blocks:
+            # Re-scatter the healed links into the rank halo blocks and
             # rebuild the ghost shells + pre-daggered tables.
             op = self.op
             w = op._WIDTH
             interior = (slice(None),) + tuple(slice(w, -w) for _ in range(4))
-            for r, halo in enumerate(op._u_halos):
-                halo.data[interior] = self._u[(slice(None),) + op.decomp.block_slices(r)]
+            for r, block in enumerate(op.comm.blocks(op._u_key)):
+                block[interior] = self._u[(slice(None),) + op.decomp.block_slices(r)]
             op.comm.exchange_shared(op._u_key, width=w, site_axis_start=1, phases=None)
             op.comm.dagger_shared(op._u_key, op._udag_key)
-            self._shared_crcs = list(op.comm.block_checksums(op._u_key))
+            self._block_crcs = op.comm.block_checksums(op._u_key)
         if self._checksum is not None:
             self._checksum = LinkChecksum.encode(self._u)

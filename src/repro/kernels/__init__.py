@@ -21,7 +21,7 @@ from repro.kernels.shifts import shift_into, site_neighbor_tables
 from repro.kernels.color import color_mul_into, COLOR_BACKENDS
 from repro.kernels.spin import project_into, reconstruct_accumulate
 from repro.kernels.fused import FusedHopping
-from repro.kernels.halo import HaloStencil, dagger_halo_links, split_boxes, full_box
+from repro.kernels.halo import HaloStencil, dagger_halo_links
 from repro.kernels.registry import (
     KERNEL_ENV_VAR,
     DEFAULT_KERNEL,
@@ -43,8 +43,6 @@ __all__ = [
     "FusedHopping",
     "HaloStencil",
     "dagger_halo_links",
-    "split_boxes",
-    "full_box",
     "KERNEL_ENV_VAR",
     "DEFAULT_KERNEL",
     "KernelUnavailableError",

@@ -1,28 +1,13 @@
-"""The fused Wilson stencil on halo-extended blocks, with interior/boundary split.
+"""The fused Wilson stencil on halo-extended blocks.
 
 This is the per-rank kernel of the domain-decomposed Dslash: the same
 sparse spin projection, SU(3) colour multiply and in-place reconstruction
 as :class:`repro.kernels.fused.FusedHopping`, but neighbour gathers are
 plain displaced slices into the ghost-extended block — a rank never wraps,
-it reads the ghost shells its communicator filled.
-
-Two structural additions over the single-domain kernel:
-
-* **Box stenciling.**  :meth:`HaloStencil.wilson_box_into` evaluates
-  ``diag * psi - 0.5 * hop`` on an arbitrary sub-box of the interior.
-  Every operation is element-wise per site (the colour contraction runs
-  over a fixed 3-term index order regardless of the outer shape), so
-  evaluating the stencil box-by-box is bit-for-bit identical to one
-  full-interior sweep — the property that makes the overlapped schedule
-  exact, asserted by the tier-1 parity tests.
-
-* **Interior/boundary split** (:func:`split_boxes`).  Sites at distance
-  >= ``width`` from every block face never read a ghost, so their stencil
-  can run *before* the halo exchange; the remaining onion-peel slabs run
-  after.  This is the comm/compute-overlap schedule of Chroma and the
-  QCDOC software (Edwards & Joó; Boyle et al.), which the shared-memory
-  backend uses to stencil the deep interior while face traffic is in
-  flight.
+it reads the ghost shells its communicator filled.  Every rank of every
+communicator backend runs this one stencil over its whole interior after
+the halo exchange, so the decomposed apply is bit-identical to the
+single-domain :class:`~repro.dirac.WilsonDirac` on every rank grid.
 
 The backward links are pre-daggered once per gauge field
 (:func:`dagger_halo_links`) into a table indexed at the *site* — the halo
@@ -38,45 +23,7 @@ from repro.kernels.color import color_mul_into
 from repro.kernels.spin import project_into, reconstruct_accumulate
 from repro.kernels.workspace import Workspace
 
-__all__ = ["HaloStencil", "dagger_halo_links", "split_boxes", "full_box"]
-
-#: A box: four per-axis ``(lo, hi)`` bounds in interior (ghost-free) coordinates.
-Box = tuple[tuple[int, int], ...]
-
-
-def full_box(local_shape: tuple[int, int, int, int]) -> Box:
-    """The box covering the whole interior."""
-    return tuple((0, int(n)) for n in local_shape)
-
-
-def split_boxes(
-    local_shape: tuple[int, int, int, int], width: int = 1
-) -> tuple[Box | None, list[Box]]:
-    """Partition the interior into (deep interior, boundary slabs).
-
-    The deep interior keeps a margin of ``width`` from every block face,
-    so its stencil reads never touch a ghost.  The boundary is the
-    standard onion peel: for each axis ``mu``, a low and a high slab with
-    axes ``< mu`` restricted to the deep range and axes ``> mu`` full —
-    disjoint slabs whose union with the deep interior is the full box.
-
-    When some local extent is ``<= 2 * width`` there is no deep interior:
-    returns ``(None, [full_box])`` — everything waits for the exchange.
-    """
-    w = width
-    deep: list[tuple[int, int]] = []
-    for n in local_shape:
-        if n - w <= w:
-            return None, [full_box(local_shape)]
-        deep.append((w, n - w))
-    boundary: list[Box] = []
-    for mu in range(4):
-        base = [deep[nu] if nu < mu else (0, local_shape[nu]) for nu in range(4)]
-        for bounds in ((0, w), (local_shape[mu] - w, local_shape[mu])):
-            box = list(base)
-            box[mu] = bounds
-            boundary.append(tuple(box))
-    return tuple(deep), boundary
+__all__ = ["HaloStencil", "dagger_halo_links"]
 
 
 def dagger_halo_links(u_halo: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -100,30 +47,21 @@ def dagger_halo_links(u_halo: np.ndarray, out: np.ndarray | None = None) -> np.n
     return out
 
 
-def _box_view(
-    arr: np.ndarray, width: int, box: Box, disp_mu: int | None = None, d: int = 0
-) -> np.ndarray:
-    """View of a halo-extended array over ``box``, optionally displaced.
-
-    Site axes lead; interior coordinate ``i`` lives at array index
-    ``i + width``.
-    """
-    idx = [slice(None)] * arr.ndim
-    for nu in range(4):
-        lo, hi = box[nu]
-        idx[nu] = slice(width + lo, width + hi)
-    if disp_mu is not None and d != 0:
-        lo, hi = box[disp_mu]
-        idx[disp_mu] = slice(width + lo + d, width + hi + d)
+def _interior_view(arr: np.ndarray, width: int, mu: int | None = None, d: int = 0) -> np.ndarray:
+    """View of a halo-extended array's interior, optionally displaced by
+    ``d`` sites along site axis ``mu`` (site axes lead)."""
+    idx = [slice(width, -width)] * 4
+    if mu is not None:
+        idx[mu] = slice(width + d, d - width or None)
     return arr[tuple(idx)]
 
 
 class HaloStencil:
     """Stateful fused Wilson stencil over halo-extended rank blocks.
 
-    One instance per executor (master loop or worker process): the
-    workspace hands out one set of scratch buffers per box shape, so
-    solver hot loops allocate on the first application only.
+    One instance per rank executor: the workspace hands out one set of
+    scratch buffers per block shape, so solver hot loops allocate on the
+    first application only.
     """
 
     name = "fused-halo"
@@ -132,60 +70,39 @@ class HaloStencil:
         self.workspace = Workspace()
         self.color_backend = color_backend
 
-    def hop_box_into(
-        self,
-        acc: np.ndarray,
-        u_halo: np.ndarray,
-        udag_halo: np.ndarray,
-        psi_halo: np.ndarray,
-        width: int,
-        box: Box,
-    ) -> np.ndarray:
-        """Accumulate the spin-projected hopping term of ``box`` onto ``acc``.
-
-        ``acc`` is box-shaped ``(... , 4, 3)`` and must be zeroed by the
-        caller; term order matches the reference ``hopping_term_halo``
-        (per ``mu``: forward then backward) so the sums are bit-identical.
-        """
-        ws = self.workspace
-        dtype = psi_halo.dtype
-        hshape = acc.shape[:-2] + (2, acc.shape[-1])
-        half = ws.get(hshape, dtype, "halo.half")
-        uh = ws.get(hshape, dtype, "halo.uh")
-        scratch = ws.get(hshape, dtype, "halo.scratch")
-        for mu in range(4):
-            # Forward: (1 - gamma_mu) U_mu(x) psi(x + mu).
-            project_into(half, _box_view(psi_halo, width, box, mu, +1), mu, -1)
-            color_mul_into(uh, _box_view(u_halo[mu], width, box), half, self.color_backend)
-            reconstruct_accumulate(acc, uh, mu, -1, scratch)
-            # Backward: (1 + gamma_mu) U_mu(x - mu)^dag psi(x - mu).
-            project_into(half, _box_view(psi_halo, width, box, mu, -1), mu, +1)
-            color_mul_into(uh, _box_view(udag_halo[mu], width, box), half, self.color_backend)
-            reconstruct_accumulate(acc, uh, mu, +1, scratch)
-        return acc
-
-    def wilson_box_into(
+    def wilson_into(
         self,
         out_block: np.ndarray,
         u_halo: np.ndarray,
         udag_halo: np.ndarray,
         psi_halo: np.ndarray,
         width: int,
-        box: Box,
         diag: float,
     ) -> np.ndarray:
-        """``out[box] = diag * psi[box] - 0.5 * hop[box]`` on an interior box.
+        """``out = diag * psi - 0.5 * hop`` over the interior of one block.
 
-        ``out_block`` is the ghost-free local block; the arithmetic is the
-        reference's ``diag * block - 0.5 * hop`` performed per box, which
-        is bit-identical because every step is element-wise per site.
+        ``out_block`` is the ghost-free local block; the ghost shells of
+        ``psi_halo`` must have been filled by a halo exchange.  Term order
+        matches :func:`repro.dirac.hopping.hopping_term` (per ``mu``:
+        forward then backward), so the sums are bit-identical to it.
         """
-        bshape = tuple(hi - lo for lo, hi in box)
-        acc = self.workspace.zeros(bshape + out_block.shape[4:], psi_halo.dtype, "halo.acc")
-        self.hop_box_into(acc, u_halo, udag_halo, psi_halo, width, box)
-        out_idx = tuple(slice(lo, hi) for lo, hi in box)
-        out_view = out_block[out_idx]
-        np.multiply(_box_view(psi_halo, width, box), diag, out=out_view)
+        ws = self.workspace
+        dtype = psi_halo.dtype
+        acc = ws.zeros(out_block.shape, dtype, "halo.acc")
+        hshape = acc.shape[:-2] + (2, acc.shape[-1])
+        half = ws.get(hshape, dtype, "halo.half")
+        uh = ws.get(hshape, dtype, "halo.uh")
+        scratch = ws.get(hshape, dtype, "halo.scratch")
+        for mu in range(4):
+            # Forward: (1 - gamma_mu) U_mu(x) psi(x + mu).
+            project_into(half, _interior_view(psi_halo, width, mu, +1), mu, -1)
+            color_mul_into(uh, _interior_view(u_halo[mu], width), half, self.color_backend)
+            reconstruct_accumulate(acc, uh, mu, -1, scratch)
+            # Backward: (1 + gamma_mu) U_mu(x - mu)^dag psi(x - mu).
+            project_into(half, _interior_view(psi_halo, width, mu, -1), mu, +1)
+            color_mul_into(uh, _interior_view(udag_halo[mu], width), half, self.color_backend)
+            reconstruct_accumulate(acc, uh, mu, +1, scratch)
+        np.multiply(_interior_view(psi_halo, width), diag, out=out_block)
         acc *= 0.5
-        out_view -= acc
+        out_block -= acc
         return out_block

@@ -5,9 +5,10 @@ is computed as per-rank partial sums combined through the communicator's
 ``allreduce_sum`` — so the communication trace of a solve contains the
 *complete* production pattern: two halo exchanges per normal-operator
 application plus two global reductions per iteration, the data the
-strong-scaling model (E3) charges for.  With a :class:`~repro.comm.ShmComm`
-the halo exchanges and stencils run rank-parallel for real; the in-order
-reduction keeps the iterates bit-identical across backends.
+strong-scaling model (E3) charges for.  Every backend runs the same rank
+executor: ``virtual`` runs the ranks in turn in this process, shm and tcp
+run the halo exchanges and stencils rank-parallel for real, and the
+in-order reduction keeps the iterates bit-identical across backends.
 
 The reduction path is allocation-free: rank block slices are computed once
 and the per-rank partials land in one preallocated buffer, so the two

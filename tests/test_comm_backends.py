@@ -4,8 +4,11 @@ Every instantiable backend (``virtual``, ``shm``, ``tcp`` — and any future
 entry of :func:`repro.comm.available_comms`) must be a bit-exact drop-in:
 same ghost shells, same sums, same operator output, same solver iterates,
 same trace — for every rank grid, boundary phase, and field dtype.  The
-cases are parametrised over the backend name, so a new backend joins the
-whole matrix by registering in the comm registry.
+oracles are independent of every backend: the sequential
+:func:`~repro.comm.halo_exchange` for ghost shells and the single-domain
+:class:`~repro.dirac.WilsonDirac` for the operator.  The cases are
+parametrised over the backend name, so a new backend joins the whole
+matrix by registering in the comm registry.
 
 The fault/teardown drill set every process backend must pass (ping,
 kill_rank, injected kill / drop-ack / delay-ack, error acks, use after
@@ -27,28 +30,31 @@ from repro.comm import (
     COMM_ENV_VAR,
     CommError,
     CommTimeoutError,
+    CommTrace,
     CommUnavailableError,
+    Decomposition,
     RankGrid,
     ShmComm,
     TcpComm,
     VirtualComm,
     add_halo,
     available_comms,
+    halo_exchange,
     make_comm,
     resolve_comm_name,
 )
 from repro.comm.registry import _COMM_NAMES
+from repro.dirac import WilsonDirac
 from repro.dirac.decomposed import DecomposedWilsonDirac
 from repro.fields import GaugeField, random_fermion
 from repro.lattice import Lattice4D
 from repro.solvers import cg_spmd
 
-#: Every backend the matrix runs against.  ``virtual`` is the reference
-#: and also runs through the matrix so the harness itself is symmetric.
+#: Every backend the matrix runs against.
 BACKENDS = [n for n in available_comms() if n != "mpi"]
 
-#: Backends whose ranks are real processes with per-rank block storage.
-BLOCK_BACKENDS = [n for n in BACKENDS if n != "virtual"]
+#: Backends whose ranks are OS processes (they have pids to stop).
+PROCESS_BACKENDS = [n for n in BACKENDS if n != "virtual"]
 
 GRIDS = [(1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 1), (2, 2, 1, 1), (4, 1, 1, 1)]
 PHASES = [(-1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0)]
@@ -85,11 +91,8 @@ def _noncorner_equal(a: np.ndarray, b: np.ndarray, w: int = 1) -> bool:
 
 
 def _exchanged(backend: str, grid: RankGrid, blocks, phases, dtype):
-    """Run one ghost-shell exchange on ``backend``; return the filled arrays."""
-    if backend == "virtual":
-        halos = [add_halo(b.astype(dtype)) for b in blocks]
-        VirtualComm(grid).exchange(halos, phases=phases)
-        return [h.data for h in halos]
+    """Run one ghost-shell exchange on ``backend``; return the filled arrays
+    and the trace events."""
     with make_comm(grid, backend, **COMM_KW) as comm:
         key = comm.new_key("psi")
         shape = tuple(n + 2 for n in blocks[0].shape[:4]) + blocks[0].shape[4:]
@@ -98,7 +101,7 @@ def _exchanged(backend: str, grid: RankGrid, blocks, phases, dtype):
         for r, b in enumerate(blocks):
             views[r][interior] = b.astype(dtype)
         comm.exchange_shared(key, width=1, phases=phases)
-        return [v.copy() for v in views]
+        return [v.copy() for v in views], comm.trace.events
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -106,12 +109,16 @@ def _exchanged(backend: str, grid: RankGrid, blocks, phases, dtype):
 @pytest.mark.parametrize("phases", PHASES)
 @pytest.mark.parametrize("dtype", DTYPES)
 class TestExchangeParity:
+    """The rank executors' block exchange against the sequential oracle."""
+
     def test_exchange_matches_virtual(self, backend, dims, phases, dtype, psi):
         grid = RankGrid(dims)
-        blocks = VirtualComm(grid).decompose(LATTICE).scatter(psi)
+        blocks = Decomposition(LATTICE, grid).scatter(psi)
         vhalos = [add_halo(b.astype(dtype)) for b in blocks]
-        VirtualComm(grid).exchange(vhalos, phases=phases)
-        got = _exchanged(backend, grid, blocks, phases, dtype)
+        trace = CommTrace()
+        halo_exchange(vhalos, grid, trace=trace, phases=phases)
+        got, events = _exchanged(backend, grid, blocks, phases, dtype)
+        assert events == trace.events
         for r in range(grid.nranks):
             assert got[r].dtype == np.dtype(dtype)
             assert _noncorner_equal(vhalos[r].data, got[r]), f"{backend} rank {r}"
@@ -146,8 +153,8 @@ class TestAllreduceParity:
 
 
 class TestAllreduceFp32:
-    """Process backends share widen-to-fp64-then-sum reduction semantics:
-    fp32 partials produce bit-identical sums on every block backend."""
+    """Every backend shares the widen-to-fp64-then-sum reduction: fp32
+    partials produce bit-identical sums on every backend."""
 
     @pytest.mark.parametrize("dims", [(2, 1, 1, 1), (2, 2, 1, 1)])
     def test_fp32_partials_identical_across_block_backends(self, dims):
@@ -158,7 +165,7 @@ class TestAllreduceFp32:
             for _ in range(grid.nranks)
         ]
         sums = {}
-        for backend in BLOCK_BACKENDS:
+        for backend in BACKENDS:
             with make_comm(grid, backend, **COMM_KW) as comm:
                 sums[backend] = comm.allreduce_sum(partials)
         values = list(sums.values())
@@ -171,30 +178,14 @@ class TestAllreduceFp32:
 class TestOperatorParity:
     def test_apply_and_trace_bit_identical(self, backend, dims, phases, gauge, psi):
         grid = RankGrid(dims)
+        want = WilsonDirac(gauge, 0.1, phases=phases).apply(psi)
         vop = DecomposedWilsonDirac(gauge, 0.1, VirtualComm(grid), phases=phases)
-        want = vop.apply(psi)
+        assert np.array_equal(want, vop.apply(psi))
         with make_comm(grid, backend, **COMM_KW) as comm:
             op = DecomposedWilsonDirac(gauge, 0.1, comm, phases=phases)
             got = op.apply(psi)
             assert np.array_equal(want, got)
             assert comm.trace.events == vop.comm.trace.events
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("dims", GRIDS)
-class TestOverlapExactness:
-    def test_overlap_matches_nonoverlap(self, backend, dims, gauge, psi):
-        grid = RankGrid(dims)
-        with make_comm(grid, backend, **COMM_KW) as comm:
-            on = DecomposedWilsonDirac(gauge, 0.1, comm, overlap=True).apply(psi)
-            off = DecomposedWilsonDirac(gauge, 0.1, comm, overlap=False).apply(psi)
-        assert np.array_equal(on, off)
-
-    def test_overlap_default_follows_backend(self, backend, dims, gauge):
-        grid = RankGrid(dims)
-        with make_comm(grid, backend, **COMM_KW) as comm:
-            op = DecomposedWilsonDirac(gauge, 0.1, comm)
-            assert op.overlap == (backend != "virtual")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -402,7 +393,7 @@ class TeardownDrills(_Drills):
             comm.ping()
 
 
-@pytest.mark.parametrize("backend", BLOCK_BACKENDS)
+@pytest.mark.parametrize("backend", PROCESS_BACKENDS)
 class TestAckSequencing:
     """Acks echo their command's sequence number: a late ack of a command
     that timed out is discarded, never read as a later command's reply."""

@@ -1,6 +1,6 @@
 """Shm drills: the shared process-backend drill set plus ``/dev/shm`` lifecycle.
 
-The backend bit-parity matrix (exchange/allreduce/operator/cg/overlap ×
+The backend bit-parity matrix (exchange/allreduce/operator/cg ×
 rank grids × boundary phases × dtypes) and the fault/teardown drill set
 every process backend runs live in ``tests/test_comm_backends.py``; this
 module runs the drill set against shm and keeps what is inherently about

@@ -278,7 +278,7 @@ class TestDecomposed:
         psi = random_fermion(lat, rng=39)
         ref = WilsonDirac(gauge, mass=0.15).apply(psi)
         dec = DecomposedWilsonDirac(gauge, mass=0.15, comm=VirtualComm(RankGrid(grid_dims)))
-        assert np.allclose(dec.apply(psi), ref, atol=1e-12), grid_dims
+        assert np.array_equal(dec.apply(psi), ref), grid_dims
 
     def test_dagger_matches(self):
         lat = Lattice4D((4, 4, 4, 4))
@@ -286,7 +286,7 @@ class TestDecomposed:
         psi = random_fermion(lat, rng=41)
         ref = WilsonDirac(gauge, mass=0.15).apply_dagger(psi)
         dec = DecomposedWilsonDirac(gauge, 0.15, VirtualComm(RankGrid((2, 1, 1, 1))))
-        assert np.allclose(dec.apply_dagger(psi), ref, atol=1e-12)
+        assert np.array_equal(dec.apply_dagger(psi), ref)
 
     def test_fused_and_reference_agree_bitwise_as_single_domain_truth(self):
         """Both kernel backends are interchangeable as the single-domain
@@ -299,7 +299,15 @@ class TestDecomposed:
         fused = WilsonDirac(gauge, mass=0.15, kernel="fused").apply(psi)
         assert np.array_equal(ref, fused)
         dec = DecomposedWilsonDirac(gauge, mass=0.15, comm=VirtualComm(RankGrid((2, 2, 1, 1))))
-        assert np.allclose(dec.apply(psi), fused, atol=1e-12)
+        assert np.array_equal(dec.apply(psi), fused)
+
+    def test_rejects_non_complex128_field(self):
+        lat = Lattice4D((4, 4, 4, 4))
+        gauge = GaugeField.hot(lat, rng=40)
+        dec = DecomposedWilsonDirac(gauge, 0.15, VirtualComm(RankGrid((2, 1, 1, 1))))
+        psi = random_fermion(lat, rng=41).astype(np.complex64)
+        with pytest.raises(TypeError, match="complex64"):
+            dec.apply(psi)
 
     def test_trace_is_populated(self):
         lat = Lattice4D((4, 4, 4, 4))

@@ -513,6 +513,33 @@ class TestABFT:
         fresh = WilsonDirac(gauge, 0.2, kernel="fused")
         assert np.array_equal(out, fresh(psi))
 
+    @pytest.mark.parametrize("backend", ["virtual", "shm", "tcp"])
+    def test_block_checksum_names_rank_and_heals(self, backend):
+        # One corrupt link in rank 1's gauge halo block: detect names the
+        # rank; heal re-scatters the links so the next apply is clean.
+        from repro.comm import make_comm
+        from repro.dirac.decomposed import DecomposedWilsonDirac
+
+        gauge = GaugeField.warm(Lattice4D(SMALL), eps=0.3, rng=6)
+        psi = random_fermion(gauge.lattice, rng=7)
+        with make_comm((2, 1, 1, 1), backend, timeout=60.0) as comm:
+            clean = DecomposedWilsonDirac(gauge, 0.3, comm).apply(psi)
+            for level in ("detect", "heal"):
+                op = DecomposedWilsonDirac(gauge, 0.3, comm)
+                guarded = GuardedOperator(op, GuardPolicy(level=level, probe_interval=1))
+                flip_bit(comm.blocks(op._u_key)[1][0, 1, 1, 1, 1], 0)
+                if level == "detect":
+                    with pytest.raises(SDCDetected, match=r"rank\(s\) \[1\]"):
+                        guarded(psi)
+                    assert guarded.guard_events[-1]["kind"] == "checksum-block"
+                    continue
+                guarded(psi)
+                heals = [e for e in guarded.guard_events if e["action"] == "heal"]
+                assert len(heals) == 1
+                assert heals[0]["kind"] == "checksum-block"
+                assert np.array_equal(guarded(psi), clean)
+                assert len(guarded.guard_events) == 1
+
 
 # -- campaign fault matrix ----------------------------------------------------
 
